@@ -82,7 +82,7 @@ import os
 import pickle
 import threading
 
-from repro.common.errors import EngineError
+from repro.common.errors import EngineError, FrameTooLargeError
 from repro.data.hdfs import SimulatedHdfs
 from repro.engine.cost import ClusterSpec, CostModel
 from repro.engine.memory import CacheManager
@@ -730,7 +730,9 @@ class ClusterContext:
         match too: the lowest-index failing shard's exception
         propagates and the aborted stage charges nothing.  Anything
         that cannot cross the wire (kernel, partition, output or
-        exception instance) falls the stage back to the thread pool.
+        exception instance, or a batch whose request or reply exceeds
+        the frame cap) falls the stage back to the thread pool; no
+        worker is marked dead for it.
 
         A worker that times out or drops its connection mid-stage is
         marked dead (:meth:`~repro.net.worker.ShardWorkerClient.mark_dead`)
@@ -798,9 +800,16 @@ class ClusterContext:
                 )
                 for slot, batch in batches.items()
             }
+            oversized = False
             for slot, future in futures.items():
                 try:
                     worker_records, worker_failures = future.result()
+                except FrameTooLargeError:
+                    # The batch's request or reply does not fit in one
+                    # frame.  The worker is healthy and the connection
+                    # intact; only this stage cannot cross the wire.
+                    oversized = True
+                    continue
                 except EngineError:
                     # Timed out, refused or dropped mid-call: the
                     # worker is dead to this stage.  Nothing of its
@@ -816,6 +825,8 @@ class ClusterContext:
                     records[i] = record
                     remaining.pop(i, None)
                 failures.extend(worker_failures)
+            if oversized:
+                return self._fallback_to_threads(kernel, partitions)
             if failures:
                 # The lowest-index-failure contract: shards *below* the
                 # lowest failure seen so far must still resolve (one of

@@ -47,7 +47,7 @@ import asyncio
 import itertools
 import threading
 
-from collections import Counter, OrderedDict
+from collections import Counter, deque
 from concurrent.futures import ThreadPoolExecutor
 
 from repro.common.errors import (
@@ -139,7 +139,8 @@ class NetConfig:
         self.default_tenant = default_tenant or TenantPolicy()
         self.max_frame_bytes = max_frame_bytes
         #: Finished jobs kept addressable for late ``result`` fetches
-        #: (e.g. after a client reconnects); oldest evicted first.
+        #: (e.g. after a client reconnects); the earliest completion is
+        #: evicted first.
         self.completed_job_retention = completed_job_retention
         #: Threads for blocking result waits; more in-flight distinct
         #: jobs than this only delays completion *notifications*, never
@@ -218,7 +219,8 @@ class ServiceServer:
         self._stopped = False
         self._sessions = {}
         self._session_ids = itertools.count(1)
-        self._jobs = OrderedDict()   # job_id -> ServerJob (insert order)
+        self._jobs = {}              # job_id -> ServerJob
+        self._finished = deque()     # retained ServerJobs, completion order
         self._inflight_keys = {}     # coalesce key -> ServerJob
         self._tenant_inflight = Counter()
         self._tenant_counters = {}   # tenant -> Counter of event names
@@ -533,7 +535,6 @@ class ServiceServer:
             self._jobs[job.job_id] = job
             self._inflight_keys[key] = job
             asyncio.ensure_future(self._wait_job(job))
-            self._trim_finished_jobs()
         job.attached[tenant] += 1
         self._tenant_inflight[tenant] += 1
         session.jobs.add(job.job_id)
@@ -551,14 +552,6 @@ class ServiceServer:
         if counter is None:
             counter = self._tenant_counters[tenant] = Counter()
         return counter
-
-    def _trim_finished_jobs(self):
-        retention = self.config.completed_job_retention
-        finished = [
-            job_id for job_id, job in self._jobs.items() if job.finished
-        ]
-        for job_id in finished[:max(0, len(finished) - retention)]:
-            del self._jobs[job_id]
 
     # ------------------------------------------------------------------
     # Job completion (waiter thread -> loop thread)
@@ -593,8 +586,15 @@ class ServiceServer:
         except BaseException as exc:
             job.ok = False
             job.error_payload = to_wire(exc)
-        # Single-threaded from here (loop thread): retire atomically.
+        # Single-threaded from here (loop thread): retire atomically,
+        # keeping only the last ``completed_job_retention`` completions
+        # addressable.
         job.finished = True
+        self._finished.append(job)
+        while len(self._finished) > self.config.completed_job_retention:
+            old = self._finished.popleft()
+            if self._jobs.get(old.job_id) is old:
+                del self._jobs[old.job_id]
         if self._inflight_keys.get(job.key) is job:
             del self._inflight_keys[job.key]
         for tenant, count in job.attached.items():

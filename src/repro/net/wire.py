@@ -2,10 +2,12 @@
 
 The acceptance bar for the front door is that a mining job submitted
 over the wire returns *bit-identical* rules, lambdas and estimates to
-the same job run in-process.  Numpy arrays therefore travel as raw
-little-endian bytes (base64) with their dtype and shape — no float
-formatting in the loop — and scalar floats ride JSON's repr round-trip,
-which is exact for Python doubles.
+the same job run in-process.  Numpy arrays therefore travel as their
+raw bytes with an explicit-endian dtype and the shape — a ``bytes``
+value, which the frame layer (:mod:`repro.net.protocol`) ships as a
+raw segment, so no float formatting and no text encoding in the loop —
+and scalar floats ride JSON's repr round-trip, which is exact for
+Python doubles.
 
 Three result shapes cross the wire:
 
@@ -19,8 +21,6 @@ Three result shapes cross the wire:
 (``stats()`` dicts): it converts numpy scalars and tuples into plain
 JSON types without promising reversibility.
 """
-
-import base64
 
 import numpy as np
 
@@ -38,14 +38,16 @@ def encode_array(array):
     return {
         "dtype": array.dtype.str,  # '<f8' etc: endianness is explicit
         "shape": list(array.shape),
-        "data": base64.b64encode(array.tobytes()).decode("ascii"),
+        "data": array.tobytes(),
     }
 
 
 def decode_array(payload):
     """Rebuild the exact ndarray ``encode_array`` serialized."""
     try:
-        raw = base64.b64decode(payload["data"].encode("ascii"))
+        raw = payload["data"]
+        if not isinstance(raw, bytes):
+            raise TypeError("array data must be a byte segment")
         array = np.frombuffer(raw, dtype=np.dtype(payload["dtype"]))
         return array.reshape(payload["shape"]).copy()
     except (KeyError, TypeError, ValueError) as exc:

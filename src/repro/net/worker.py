@@ -60,7 +60,6 @@ here; the front door (:mod:`repro.net.server`) stays the only
 untrusted-facing endpoint.
 """
 
-import base64
 import os
 import pickle
 import socket
@@ -74,6 +73,7 @@ import numpy as np
 from repro.common.errors import (
     DataError,
     EngineError,
+    FrameTooLargeError,
     ProtocolError,
     from_wire,
     to_wire,
@@ -153,15 +153,13 @@ def default_worker_timeout():
     return parsed
 
 
-def _encode_blob(data):
-    return base64.b64encode(data).decode("ascii")
-
-
-def _decode_blob(text):
-    try:
-        return base64.b64decode(text.encode("ascii"))
-    except (AttributeError, ValueError) as exc:
-        raise ProtocolError("malformed pickle blob: %s" % exc) from None
+def _blob(value):
+    """A payload field that must have crossed as a raw byte segment."""
+    if not isinstance(value, bytes):
+        raise ProtocolError(
+            "expected a byte segment, got %s" % type(value).__name__
+        )
+    return value
 
 
 def parse_address(address):
@@ -328,7 +326,7 @@ class RemoteColFile:
             self._apply_meta(reply.get("meta") or {})
         fetched = {}
         for entry in reply.get("blocks", ()):
-            fetched[int(entry["index"])] = _decode_blob(entry["data"])
+            fetched[int(entry["index"])] = _blob(entry["data"])
         missing = set(indices) - set(fetched)
         if missing:
             raise ProtocolError(
@@ -449,6 +447,12 @@ def _run_batch(kernel_blob, tasks):
                 record, protocol=pickle.HIGHEST_PROTOCOL
             )
         except BaseException as exc:  # noqa: BLE001 — shipped to driver
+            if isinstance(exc, FrameTooLargeError):
+                # A block_fetch answer over the frame cap: this stage
+                # cannot cross the wire, like an unpicklable output.
+                failures.append({"index": index, "error": None,
+                                 "repr": repr(exc), "pickling": True})
+                break
             try:
                 exc_blob = pickle.dumps(
                     exc, protocol=pickle.HIGHEST_PROTOCOL
@@ -456,7 +460,7 @@ def _run_batch(kernel_blob, tasks):
                 pickle.loads(exc_blob)  # some instances dump but not load
                 failures.append({
                     "index": index,
-                    "error": _encode_blob(exc_blob),
+                    "error": exc_blob,
                     "repr": repr(exc),
                     "pickling": False,
                 })
@@ -468,7 +472,7 @@ def _run_batch(kernel_blob, tasks):
                     "pickling": True,
                 })
             break
-        records.append({"index": index, "record": _encode_blob(record_blob)})
+        records.append({"index": index, "record": record_blob})
     return records, failures
 
 
@@ -590,9 +594,15 @@ class _WorkerConnection(socketserver.BaseRequestHandler):
 
     def _send(self, kind, request_id, payload):
         try:
-            self.request.sendall(encode_frame(
+            frame = encode_frame(
                 kind, request_id, payload, WORKER_MAX_FRAME_BYTES
-            ))
+            )
+        except ProtocolError as exc:
+            # An answer that cannot be framed (over the cap, say) is a
+            # typed error for this request only; the connection lives.
+            frame = encode_frame(KIND_ERROR, request_id, to_wire(exc))
+        try:
+            self.request.sendall(frame)
         except OSError:
             pass  # driver went away mid-answer; connection loop exits
 
@@ -744,9 +754,9 @@ class ShardWorker:
         from repro.engine.shm import block_fetcher
 
         try:
-            kernel_blob = _decode_blob(payload["kernel"])
+            kernel_blob = _blob(payload["kernel"])
             tasks = [
-                (int(task["index"]), _decode_blob(task["partition"]))
+                (int(task["index"]), _blob(task["partition"]))
                 for task in payload["tasks"]
             ]
         except (KeyError, TypeError) as exc:
@@ -927,16 +937,13 @@ class ShardWorkerClient:
                 raise ProtocolError(
                     "unknown worker-initiated op %r" % op
                 )
-        except Exception as exc:  # typed errors cross as wire codes
-            self._sock.sendall(encode_frame(
-                KIND_ERROR, frame.request_id, to_wire(exc),
+            reply = encode_frame(
+                KIND_RESPONSE, frame.request_id, payload,
                 WORKER_MAX_FRAME_BYTES,
-            ))
-            return
-        self._sock.sendall(encode_frame(
-            KIND_RESPONSE, frame.request_id, payload,
-            WORKER_MAX_FRAME_BYTES,
-        ))
+            )
+        except Exception as exc:  # typed errors cross as wire codes
+            reply = encode_frame(KIND_ERROR, frame.request_id, to_wire(exc))
+        self._sock.sendall(reply)
 
     def _serve_block_fetch(self, payload):
         from repro.engine.shm import resolve_local_handle
@@ -958,7 +965,7 @@ class ShardWorkerClient:
                     % (index, path, handle.num_blocks)
                 )
             data = handle.block_raw_bytes(index)
-            blocks.append({"index": index, "data": _encode_blob(data)})
+            blocks.append({"index": index, "data": data})
             self.blocks_shipped += 1
             self.bytes_shipped += len(data)
         reply = {"blocks": blocks}
@@ -1004,16 +1011,16 @@ class ShardWorkerClient:
         failing task (empty on success).
         """
         reply = self._call("run_stage", {
-            "kernel": _encode_blob(kernel_bytes),
+            "kernel": kernel_bytes,
             "tasks": [
-                {"index": index, "partition": _encode_blob(blob)}
+                {"index": index, "partition": blob}
                 for index, blob in batch
             ],
         })
         records = {}
         for entry in reply.get("records", ()):
             records[int(entry["index"])] = pickle.loads(
-                _decode_blob(entry["record"])
+                _blob(entry["record"])
             )
         failures = []
         for entry in reply.get("failures", ()):
@@ -1022,7 +1029,7 @@ class ShardWorkerClient:
             blob = entry.get("error")
             if blob is not None and not pickling:
                 try:
-                    exc = pickle.loads(_decode_blob(blob))
+                    exc = pickle.loads(_blob(blob))
                 except BaseException:
                     pickling = True
             if exc is None and not pickling:

@@ -2,7 +2,8 @@
 match the code.
 
 These tests scrape the *code* for its tuning surface — environment
-variables, wire error codes, protocol ops, config fields, CLI flags —
+variables, wire error codes, protocol ops, frame kinds and flags,
+config fields, CLI flags —
 and assert each item appears in the corresponding docs file.  They are
 deliberately one-directional: docs may say *more* than the code
 (prose, examples), but the code may not grow a knob the docs miss.
@@ -149,6 +150,25 @@ class TestProtocolOps:
         assert "%d MiB" % mib in protocol_md
         worker_mib = net_worker.WORKER_MAX_FRAME_BYTES // (1024 * 1024)
         assert "%d MiB" % worker_mib in protocol_md
+
+    def test_frame_flags_documented(self, protocol_md):
+        flags = {
+            name: value for name, value in vars(net_protocol).items()
+            if name.startswith("FLAG_") and isinstance(value, int)
+        }
+        assert flags, "could not locate FLAG_* constants"
+        for name, value in flags.items():
+            pattern = r"`%s`\s*\|\s*%d\b" % (name, value)
+            assert re.search(pattern, protocol_md), (
+                "docs/protocol.md is missing the flag row for %s = %d"
+                % (name, value)
+            )
+        documented = set(re.findall(r"`(FLAG_\w+)`\s*\|", protocol_md))
+        stale = documented - set(flags)
+        assert not stale, (
+            "docs/protocol.md documents flags not in repro.net.protocol: "
+            "%s" % sorted(stale)
+        )
 
 
 class TestServiceConfig:

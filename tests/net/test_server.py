@@ -19,6 +19,7 @@ from repro.net import TenantPolicy
 from repro.net.protocol import (
     KIND_ERROR,
     KIND_REQUEST,
+    KIND_RESPONSE,
     FrameDecoder,
     encode_frame,
 )
@@ -288,6 +289,35 @@ class TestDisconnects:
         assert job.result(timeout=20.0) is not None
 
 
+class TestJobRetention:
+    def test_keeps_the_last_completions_not_the_last_submissions(
+            self, serve_stack, connect, worker_gate):
+        service, server = serve_stack(num_workers=1,
+                                      completed_job_retention=2)
+        gate = worker_gate(service)
+        watcher = connect(server)
+        watcher.subscribe()
+        client = connect(server)
+        # Submitted first but at low priority: while the gate holds the
+        # single worker, the later normal-priority jobs overtake it.
+        first = client.submit_mine("flights", k=3, sample_size=16,
+                                   seed=31, priority="low")
+        second = client.submit_mine("flights", k=3, sample_size=16, seed=32)
+        third = client.submit_mine("flights", k=3, sample_size=16, seed=33)
+        gate.set()
+        completed = [watcher.next_event(timeout=20.0)["job_id"]
+                     for _ in range(3)]
+        assert sorted(completed) == sorted(
+            [first.job_id, second.job_id, third.job_id])
+        assert completed[-1] == first.job_id
+        retired, *kept = completed
+        for job_id in kept:
+            assert client.poll(job_id)["done"]
+        with pytest.raises(ServiceError, match="unknown job id"):
+            client.poll(retired)
+        assert first.result(timeout=5.0) is not None
+
+
 class TestWireErrors:
     def test_unknown_dataset_raises_same_type_as_in_process(
             self, serve_stack, connect):
@@ -342,9 +372,33 @@ class TestWireErrors:
                 if not tail:
                     break
 
-    def test_non_request_frame_from_client_rejected(self, serve_stack):
-        from repro.net.protocol import KIND_RESPONSE
+    def test_bad_segment_table_rejected_connection_survives(
+            self, serve_stack):
+        from repro.net.protocol import FLAG_SEGMENTS
 
+        _, server = serve_stack()
+        text = b'{"op":"stats","b":{"$seg":0}}'
+        # The table names a 9-byte segment; the body carries 3.
+        body = struct.pack(">III", len(text), 1, 9) + text + b"abc"
+        bad = struct.pack(">BBHII", 1, KIND_REQUEST, FLAG_SEGMENTS, 5,
+                          len(body)) + body
+        with socket.create_connection(("127.0.0.1", server.port),
+                                      timeout=5.0) as sock:
+            sock.sendall(bad + encode_frame(KIND_REQUEST, 6,
+                                            {"op": "stats"}))
+            decoder = FrameDecoder()
+            events = []
+            while len(events) < 2:
+                data = sock.recv(65536)
+                assert data, "server closed the connection"
+                events.extend(decoder.feed(data))
+        by_id = {event.request_id: event for event in events}
+        assert by_id[5].kind == KIND_ERROR
+        assert by_id[5].payload["error"] == "ProtocolError"
+        assert by_id[6].kind == KIND_RESPONSE
+        assert "net" in by_id[6].payload
+
+    def test_non_request_frame_from_client_rejected(self, serve_stack):
         _, server = serve_stack()
         with socket.create_connection(("127.0.0.1", server.port),
                                       timeout=5.0) as sock:

@@ -18,8 +18,9 @@ from repro.common.errors import DataError, EngineError, ProtocolError
 from repro.core.config import variant_config
 from repro.core.miner import Sirum, make_default_cluster
 from repro.data.colfile import write_colfile
-from repro.data.generators import flight_table
+from repro.data.generators import flight_table, income_table
 from repro.data.table import Table
+from repro.net import worker as net_worker
 from repro.net.worker import ShardWorker, ShardWorkerClient, parse_address
 
 
@@ -501,3 +502,96 @@ class TestWorkerFailure:
 
 def _boom_block_kernel(tc, part):
     raise ValueError("boom on shard %d" % part)
+
+
+#: Frame cap for the oversized-frame tests: small, so the over-cap
+#: payloads stay cheap while exceeding it with raw segments too.
+_SMALL_CAP = 1 << 20
+
+
+def _big_output_kernel(tc, part):
+    """Returns twice the (patched) frame cap of raw float64 bytes."""
+    tc.add_records(1)
+    return np.full(2 * _SMALL_CAP // 8, float(part))
+
+
+def _len_kernel(tc, part):
+    tc.add_records(1)
+    return len(part)
+
+
+class TestOversizedFrames:
+    """A stage that does not fit one frame degrades only itself."""
+
+    @pytest.fixture
+    def cluster(self, monkeypatch):
+        monkeypatch.setattr(net_worker, "WORKER_MAX_FRAME_BYTES", _SMALL_CAP)
+        w1 = ShardWorker().start()
+        w2 = ShardWorker().start()
+        cluster = make_default_cluster(
+            num_executors=2, cores_per_executor=2,
+            executor="remote", workers=[w1.address, w2.address],
+        )
+        try:
+            yield cluster, (w1, w2)
+        finally:
+            cluster.close()
+            w1.stop()
+            w2.stop()
+
+    def _assert_workers_healthy(self, cluster, workers):
+        pstats = cluster.placement_stats()
+        assert pstats["worker_failures"] == 0
+        assert pstats["healthy_workers"] == 2
+        # Both workers still serve remote stages afterwards.
+        stages = [w.stats()["stages"] for w in workers]
+        assert cluster.run_stage(_identity_kernel, [1, 2]).outputs == [1, 2]
+        assert [w.stats()["stages"] for w in workers] == [
+            n + 1 for n in stages
+        ]
+        assert cluster.fallback_stages == 1
+
+    def test_oversized_reply_falls_back_without_killing_workers(
+            self, cluster):
+        cluster, workers = cluster
+        result = cluster.run_stage(_big_output_kernel, [1, 2])
+        assert [float(out[0]) for out in result.outputs] == [1.0, 2.0]
+        assert all(out.nbytes == 2 * _SMALL_CAP for out in result.outputs)
+        assert cluster.fallback_stages == 1
+        self._assert_workers_healthy(cluster, workers)
+
+    def test_oversized_request_falls_back_without_killing_workers(
+            self, cluster):
+        cluster, workers = cluster
+        big = b"x" * (2 * _SMALL_CAP)
+        result = cluster.run_stage(_len_kernel, [big, b"y"])
+        assert result.outputs == [len(big), 1]
+        assert cluster.fallback_stages == 1
+        self._assert_workers_healthy(cluster, workers)
+
+    def test_oversized_block_fetch_falls_back(self, tmp_path, monkeypatch):
+        # A shared-nothing worker asks for more colfile blocks than one
+        # frame holds: the driver answers with a typed error, and the
+        # stage reruns locally instead of failing the job.
+        table = income_table(40_000, seed=3)
+        path = tmp_path / "income.col"
+        write_colfile(table, path, block_rows=1024)
+        file_table = Table.open_colfile(path)
+        shard = file_table.partition_blocks(1, shared=True)[0]
+        row_bytes = 8 * (len(shard.columns) + 1)
+        assert len(table) * row_bytes > _SMALL_CAP
+        monkeypatch.setattr(net_worker, "WORKER_MAX_FRAME_BYTES", _SMALL_CAP)
+        with ShardWorker(local_files=False) as worker:
+            cluster = make_default_cluster(
+                num_executors=1, cores_per_executor=2,
+                executor="remote", workers=[worker.address],
+            )
+            try:
+                result = cluster.run_stage(_sum_kernel, [shard])
+                pstats = cluster.placement_stats()
+            finally:
+                cluster.close()
+        assert result.outputs == [float(np.sum(table.measure))]
+        assert cluster.fallback_stages == 1
+        assert pstats["worker_failures"] == 0
+        assert pstats["healthy_workers"] == 1
